@@ -1,16 +1,23 @@
 """Cryptographic substrate for issl (see DESIGN.md, S6).
 
-Everything is implemented from scratch in this package: GF(2^8)
-arithmetic, Rijndael with variable key and block sizes, the T-table AES
-used as the optimized comparator, block modes, MD5/SHA-1/HMAC, a
-16-bit-limb bignum, RSA, and PRNGs.
+GF(2^8) arithmetic, Rijndael with variable key and block sizes, the
+T-table AES used as the optimized comparator, block modes, HMAC, a
+16-bit-limb bignum, RSA, and PRNGs are implemented here from scratch.
+The hashes come twice: :class:`Sha1` and :class:`Md5`, which issl uses,
+wrap the interpreter's builtin ``_sha1``/``_md5`` modules, while the
+from-scratch ports :class:`ReferenceSha1` and :class:`ReferenceMd5` are
+kept as the port artifact and the oracle the differential tests check
+the host classes against (as reference :class:`Rijndael` is for
+:class:`AesTTable`).  Host crypto never feeds simulated time: what it
+costs the emulated board is charged by
+:class:`repro.issl.costmodel.CryptoCostModel`.
 """
 
 from repro.crypto.aes_ttable import AesTTable
 from repro.crypto.bignum import BigNum, BignumError, generate_prime, is_probable_prime
 from repro.crypto.hmac import Hmac, constant_time_equal, hmac_md5, hmac_sha1
 from repro.crypto.kdf import derive_key_block, derive_master_secret, ssl3_prf
-from repro.crypto.md5 import Md5, md5
+from repro.crypto.md5 import Md5, ReferenceMd5, md5
 from repro.crypto.modes import (
     PaddingError,
     cbc_decrypt,
@@ -33,7 +40,7 @@ from repro.crypto.rsa import (
     sign_raw,
     verify_raw,
 )
-from repro.crypto.sha1 import Sha1, sha1
+from repro.crypto.sha1 import ReferenceSha1, Sha1, sha1
 
 __all__ = [
     "AesTTable",
@@ -44,6 +51,8 @@ __all__ = [
     "Lcg",
     "Md5",
     "PaddingError",
+    "ReferenceMd5",
+    "ReferenceSha1",
     "Rijndael",
     "RijndaelError",
     "RsaError",

@@ -152,35 +152,38 @@ class AesTTable:
             raise RijndaelError(f"block must be 16 bytes, got {len(block)}")
         rk = self._rk
         te0, te1, te2, te3 = _TE
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
+        s = int.from_bytes(block, "big")
+        s0 = (s >> 96) ^ rk[0]
+        s1 = ((s >> 64) & _MASK) ^ rk[1]
+        s2 = ((s >> 32) & _MASK) ^ rk[2]
+        s3 = (s & _MASK) ^ rk[3]
+        # Tables and round keys are 32-bit, so the state words stay
+        # below 2**32 and their top byte needs no mask.
         k = 4
         for _ in range(self._nr - 1):
             t0 = (
-                te0[(s0 >> 24) & 0xFF]
+                te0[s0 >> 24]
                 ^ te1[(s1 >> 16) & 0xFF]
                 ^ te2[(s2 >> 8) & 0xFF]
                 ^ te3[s3 & 0xFF]
                 ^ rk[k]
             )
             t1 = (
-                te0[(s1 >> 24) & 0xFF]
+                te0[s1 >> 24]
                 ^ te1[(s2 >> 16) & 0xFF]
                 ^ te2[(s3 >> 8) & 0xFF]
                 ^ te3[s0 & 0xFF]
                 ^ rk[k + 1]
             )
             t2 = (
-                te0[(s2 >> 24) & 0xFF]
+                te0[s2 >> 24]
                 ^ te1[(s3 >> 16) & 0xFF]
                 ^ te2[(s0 >> 8) & 0xFF]
                 ^ te3[s1 & 0xFF]
                 ^ rk[k + 2]
             )
             t3 = (
-                te0[(s3 >> 24) & 0xFF]
+                te0[s3 >> 24]
                 ^ te1[(s0 >> 16) & 0xFF]
                 ^ te2[(s1 >> 8) & 0xFF]
                 ^ te3[s2 & 0xFF]
@@ -188,53 +191,54 @@ class AesTTable:
             )
             s0, s1, s2, s3 = t0, t1, t2, t3
             k += 4
-        out = bytearray(16)
-        cols = (s0, s1, s2, s3)
-        for col in range(4):
-            a, b, c, d = cols[col], cols[(col + 1) % 4], cols[(col + 2) % 4], cols[(col + 3) % 4]
-            word = (
-                SBOX[(a >> 24) & 0xFF] << 24
-                | SBOX[(b >> 16) & 0xFF] << 16
-                | SBOX[(c >> 8) & 0xFF] << 8
-                | SBOX[d & 0xFF]
-            ) ^ rk[k + col]
-            out[4 * col: 4 * col + 4] = (word & _MASK).to_bytes(4, "big")
-        return bytes(out)
+        # Final round (no MixColumns), unrolled: column c takes row r
+        # from state word (c + r) % 4; the four words pack into one int.
+        sbox = SBOX
+        w0 = (sbox[s0 >> 24] << 24 | sbox[(s1 >> 16) & 0xFF] << 16
+              | sbox[(s2 >> 8) & 0xFF] << 8 | sbox[s3 & 0xFF]) ^ rk[k]
+        w1 = (sbox[s1 >> 24] << 24 | sbox[(s2 >> 16) & 0xFF] << 16
+              | sbox[(s3 >> 8) & 0xFF] << 8 | sbox[s0 & 0xFF]) ^ rk[k + 1]
+        w2 = (sbox[s2 >> 24] << 24 | sbox[(s3 >> 16) & 0xFF] << 16
+              | sbox[(s0 >> 8) & 0xFF] << 8 | sbox[s1 & 0xFF]) ^ rk[k + 2]
+        w3 = (sbox[s3 >> 24] << 24 | sbox[(s0 >> 16) & 0xFF] << 16
+              | sbox[(s1 >> 8) & 0xFF] << 8 | sbox[s2 & 0xFF]) ^ rk[k + 3]
+        return (w0 << 96 | w1 << 64 | w2 << 32 | w3).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise RijndaelError(f"block must be 16 bytes, got {len(block)}")
         rk = self._drk
         td0, td1, td2, td3 = _TD
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
+        s = int.from_bytes(block, "big")
+        s0 = (s >> 96) ^ rk[0]
+        s1 = ((s >> 64) & _MASK) ^ rk[1]
+        s2 = ((s >> 32) & _MASK) ^ rk[2]
+        s3 = (s & _MASK) ^ rk[3]
         k = 4
         for _ in range(self._nr - 1):
             t0 = (
-                td0[(s0 >> 24) & 0xFF]
+                td0[s0 >> 24]
                 ^ td1[(s3 >> 16) & 0xFF]
                 ^ td2[(s2 >> 8) & 0xFF]
                 ^ td3[s1 & 0xFF]
                 ^ rk[k]
             )
             t1 = (
-                td0[(s1 >> 24) & 0xFF]
+                td0[s1 >> 24]
                 ^ td1[(s0 >> 16) & 0xFF]
                 ^ td2[(s3 >> 8) & 0xFF]
                 ^ td3[s2 & 0xFF]
                 ^ rk[k + 1]
             )
             t2 = (
-                td0[(s2 >> 24) & 0xFF]
+                td0[s2 >> 24]
                 ^ td1[(s1 >> 16) & 0xFF]
                 ^ td2[(s0 >> 8) & 0xFF]
                 ^ td3[s3 & 0xFF]
                 ^ rk[k + 2]
             )
             t3 = (
-                td0[(s3 >> 24) & 0xFF]
+                td0[s3 >> 24]
                 ^ td1[(s2 >> 16) & 0xFF]
                 ^ td2[(s1 >> 8) & 0xFF]
                 ^ td3[s0 & 0xFF]
@@ -242,18 +246,15 @@ class AesTTable:
             )
             s0, s1, s2, s3 = t0, t1, t2, t3
             k += 4
-        out = bytearray(16)
-        cols = (s0, s1, s2, s3)
-        for col in range(4):
-            a = cols[col]
-            b = cols[(col - 1) % 4]
-            c = cols[(col - 2) % 4]
-            d = cols[(col - 3) % 4]
-            word = (
-                INV_SBOX[(a >> 24) & 0xFF] << 24
-                | INV_SBOX[(b >> 16) & 0xFF] << 16
-                | INV_SBOX[(c >> 8) & 0xFF] << 8
-                | INV_SBOX[d & 0xFF]
-            ) ^ rk[k + col]
-            out[4 * col: 4 * col + 4] = (word & _MASK).to_bytes(4, "big")
-        return bytes(out)
+        # Final round, unrolled: column c takes row r from state word
+        # (c - r) % 4 (InvShiftRows runs the other way).
+        isbox = INV_SBOX
+        w0 = (isbox[s0 >> 24] << 24 | isbox[(s3 >> 16) & 0xFF] << 16
+              | isbox[(s2 >> 8) & 0xFF] << 8 | isbox[s1 & 0xFF]) ^ rk[k]
+        w1 = (isbox[s1 >> 24] << 24 | isbox[(s0 >> 16) & 0xFF] << 16
+              | isbox[(s3 >> 8) & 0xFF] << 8 | isbox[s2 & 0xFF]) ^ rk[k + 1]
+        w2 = (isbox[s2 >> 24] << 24 | isbox[(s1 >> 16) & 0xFF] << 16
+              | isbox[(s0 >> 8) & 0xFF] << 8 | isbox[s3 & 0xFF]) ^ rk[k + 2]
+        w3 = (isbox[s3 >> 24] << 24 | isbox[(s2 >> 16) & 0xFF] << 16
+              | isbox[(s1 >> 8) & 0xFF] << 8 | isbox[s0 & 0xFF]) ^ rk[k + 3]
+        return (w0 << 96 | w1 << 64 | w2 << 32 | w3).to_bytes(16, "big")

@@ -5,12 +5,17 @@ from __future__ import annotations
 from repro.crypto.md5 import Md5
 from repro.crypto.sha1 import Sha1
 
+#: Byte maps XORing every key byte with the outer/inner pad constant.
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+
 
 class Hmac:
     """Keyed-hash message authentication code.
 
     ``hash_cls`` is a class with the streaming interface of
-    :class:`repro.crypto.sha1.Sha1` (``update``/``digest``/``block_size``).
+    :class:`repro.crypto.sha1.Sha1` (``update``/``digest``/``block_size``),
+    so the same construction runs over the reference ports too.
     """
 
     def __init__(self, key: bytes, data: bytes = b"", hash_cls=Sha1):
@@ -19,8 +24,8 @@ class Hmac:
         if len(key) > block:
             key = hash_cls(key).digest()
         key = key + b"\x00" * (block - len(key))
-        self._okey = bytes(b ^ 0x5C for b in key)
-        self._inner = hash_cls(bytes(b ^ 0x36 for b in key))
+        self._okey = key.translate(_OPAD)
+        self._inner = hash_cls(key.translate(_IPAD))
         self.digest_size = hash_cls.digest_size
         if data:
             self._inner.update(data)

@@ -1,13 +1,23 @@
-"""MD5, implemented from scratch (RFC 1321).
+"""MD5 (RFC 1321): the host's hash and the from-scratch port.
 
 Present because SSL 3.0-era key derivation and MACs mixed MD5 with
 SHA-1; issl's PRF (:mod:`repro.crypto.kdf`) uses both.
+
+As in :mod:`repro.crypto.sha1`, :class:`Md5` wraps CPython's builtin
+``_md5`` module (``hashlib`` only where the interpreter lacks it) and
+:class:`ReferenceMd5` is the from-scratch port, kept as the port
+artifact and the differential oracle.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+try:
+    from _md5 import md5 as _native_md5
+except ImportError:  # pragma: no cover - interpreter without _md5
+    from hashlib import md5 as _native_md5
 
 _MASK = 0xFFFFFFFF
 
@@ -25,7 +35,34 @@ def _rotl(value: int, amount: int) -> int:
 
 
 class Md5:
-    """Streaming MD5 hash."""
+    """Streaming MD5 hash over the interpreter's native code."""
+
+    digest_size = 16
+    block_size = 64
+
+    def __init__(self, data: bytes = b""):
+        self._h = _native_md5()
+        if data:
+            self.update(data)
+
+    def update(self, data: bytes) -> "Md5":
+        self._h.update(data)
+        return self
+
+    def copy(self) -> "Md5":
+        clone = Md5.__new__(Md5)
+        clone._h = self._h.copy()
+        return clone
+
+    def digest(self) -> bytes:
+        return self._h.digest()
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+class ReferenceMd5:
+    """Streaming MD5 hash, implemented from scratch."""
 
     digest_size = 16
     block_size = 64
@@ -37,7 +74,7 @@ class Md5:
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "Md5":
+    def update(self, data: bytes) -> "ReferenceMd5":
         self._length += len(data)
         self._buffer += data
         while len(self._buffer) >= 64:
@@ -65,8 +102,8 @@ class Md5:
             a, d, c, b = d, c, b, (b + _rotl(f, _S[i])) & _MASK
         self._h = [(x + y) & _MASK for x, y in zip(self._h, (a, b, c, d))]
 
-    def copy(self) -> "Md5":
-        clone = Md5()
+    def copy(self) -> "ReferenceMd5":
+        clone = ReferenceMd5()
         clone._h = list(self._h)
         clone._buffer = self._buffer
         clone._length = self._length

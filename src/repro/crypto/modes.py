@@ -65,12 +65,17 @@ def cbc_encrypt(cipher, iv: bytes, plaintext: bytes) -> bytes:
     if len(iv) != bs:
         raise ValueError(f"IV must be {bs} bytes, got {len(iv)}")
     _check_blocks(plaintext, bs, "plaintext")
+    # Chaining XORs whole blocks as integers, one operation per block.
+    encrypt = cipher.encrypt_block
     out = bytearray()
-    prev = iv
+    prev = int.from_bytes(iv, "big")
     for i in range(0, len(plaintext), bs):
-        block = bytes(a ^ b for a, b in zip(plaintext[i: i + bs], prev))
-        prev = cipher.encrypt_block(block)
-        out += prev
+        block = encrypt(
+            (int.from_bytes(plaintext[i: i + bs], "big") ^ prev)
+            .to_bytes(bs, "big")
+        )
+        out += block
+        prev = int.from_bytes(block, "big")
     return bytes(out)
 
 
@@ -79,13 +84,14 @@ def cbc_decrypt(cipher, iv: bytes, ciphertext: bytes) -> bytes:
     if len(iv) != bs:
         raise ValueError(f"IV must be {bs} bytes, got {len(iv)}")
     _check_blocks(ciphertext, bs, "ciphertext")
+    decrypt = cipher.decrypt_block
     out = bytearray()
-    prev = iv
+    prev = int.from_bytes(iv, "big")
     for i in range(0, len(ciphertext), bs):
         block = ciphertext[i: i + bs]
-        plain = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(plain, prev))
-        prev = block
+        out += (int.from_bytes(decrypt(block), "big") ^ prev).to_bytes(
+            bs, "big")
+        prev = int.from_bytes(block, "big")
     return bytes(out)
 
 

@@ -1,13 +1,27 @@
-"""SHA-1, implemented from scratch (RFC 3174).
+"""SHA-1 (RFC 3174): the host's hash and the from-scratch port.
 
 issl's record layer needs a MAC; SSL 3.0-era stacks used MD5 and SHA-1.
-This is a streaming implementation with the usual ``update``/``digest``
-interface so the record layer can MAC without buffering whole messages.
+Both classes here stream with the usual ``update``/``digest`` interface
+so the record layer can MAC without buffering whole messages.
+
+:class:`Sha1` is what issl hashes with: a thin wrapper over CPython's
+builtin ``_sha1`` module.  ``hashlib`` is only the fallback for an
+interpreter built without that module, because importing it loads
+OpenSSL's ``_hashlib`` (several MB of resident memory).
+:class:`ReferenceSha1` is the from-scratch port, kept as the port
+artifact and as the oracle the differential tests check :class:`Sha1`
+against.  Neither feeds simulated time: what hashing costs the emulated
+board is charged by :class:`repro.issl.costmodel.CryptoCostModel`.
 """
 
 from __future__ import annotations
 
 import struct
+
+try:
+    from _sha1 import sha1 as _native_sha1
+except ImportError:  # pragma: no cover - interpreter without _sha1
+    from hashlib import sha1 as _native_sha1
 
 _MASK = 0xFFFFFFFF
 
@@ -17,7 +31,34 @@ def _rotl(value: int, amount: int) -> int:
 
 
 class Sha1:
-    """Streaming SHA-1 hash."""
+    """Streaming SHA-1 hash over the interpreter's native code."""
+
+    digest_size = 20
+    block_size = 64
+
+    def __init__(self, data: bytes = b""):
+        self._h = _native_sha1()
+        if data:
+            self.update(data)
+
+    def update(self, data: bytes) -> "Sha1":
+        self._h.update(data)
+        return self
+
+    def copy(self) -> "Sha1":
+        clone = Sha1.__new__(Sha1)
+        clone._h = self._h.copy()
+        return clone
+
+    def digest(self) -> bytes:
+        return self._h.digest()
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+class ReferenceSha1:
+    """Streaming SHA-1 hash, implemented from scratch."""
 
     digest_size = 20
     block_size = 64
@@ -29,7 +70,7 @@ class Sha1:
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "Sha1":
+    def update(self, data: bytes) -> "ReferenceSha1":
         self._length += len(data)
         self._buffer += data
         while len(self._buffer) >= 64:
@@ -76,8 +117,8 @@ class Sha1:
             )
         self._h = [(x + y) & _MASK for x, y in zip(self._h, (a, b, c, d, e))]
 
-    def copy(self) -> "Sha1":
-        clone = Sha1()
+    def copy(self) -> "ReferenceSha1":
+        clone = ReferenceSha1()
         clone._h = list(self._h)
         clone._buffer = self._buffer
         clone._length = self._length

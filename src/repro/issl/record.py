@@ -19,7 +19,6 @@ import struct
 from repro.crypto.aes_ttable import AesTTable
 from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.crypto.modes import PaddingError, cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
-from repro.crypto.rijndael import Rijndael
 
 VERSION = 0x0300
 HEADER_LEN = 5
@@ -45,16 +44,16 @@ class RecordError(ValueError):
 
 
 class RecordCipherState:
-    """One direction's keys: cipher, MAC secret, rolling IV, sequence."""
+    """One direction's keys: cipher, MAC secret, rolling IV, sequence.
 
-    def __init__(self, key: bytes, mac_key: bytes, iv: bytes,
-                 implementation: str = "ttable"):
-        if implementation == "ttable":
-            self.cipher = AesTTable(key)
-        elif implementation == "reference":
-            self.cipher = Rijndael(key)
-        else:
-            raise RecordError(f"unknown AES implementation {implementation!r}")
+    The host always runs the T-table AES, byte-identical to reference
+    Rijndael.  Which AES the emulated board runs (the C port or the
+    hand assembly) is a simulated cost, charged by the profile's
+    :class:`repro.issl.costmodel.CryptoCostModel`.
+    """
+
+    def __init__(self, key: bytes, mac_key: bytes, iv: bytes):
+        self.cipher = AesTTable(key)
         self.mac_key = mac_key
         self.iv = iv
         self.seq = 0

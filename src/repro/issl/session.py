@@ -492,12 +492,11 @@ class IsslSession:
 
     def _make_states(self, keys) -> tuple[RecordCipherState, RecordCipherState]:
         """(send_state, recv_state) for this session's role."""
-        implementation = self.context.profile.aes_implementation
         client_state = RecordCipherState(
-            keys.client_key, keys.client_mac, keys.client_iv, implementation
+            keys.client_key, keys.client_mac, keys.client_iv
         )
         server_state = RecordCipherState(
-            keys.server_key, keys.server_mac, keys.server_iv, implementation
+            keys.server_key, keys.server_mac, keys.server_iv
         )
         if self.role == "client":
             return client_state, server_state

@@ -7,7 +7,8 @@ dependencies) and checks the port against an independent authority:
 
 * the two AES implementations against *each other* (a table lookup bug
   that self-inverts would survive a round-trip test but not this),
-* SHA-1/MD5/HMAC against ``hashlib``/``hmac``,
+* the from-scratch SHA-1/MD5 ports, HMAC over them, and the host hash
+  classes issl uses, all against ``hashlib``/``hmac``,
 * block modes round-trip across random key/plaintext/length choices,
 * corrupted ciphertext must *fail* -- never silently decrypt to the
   original -- which is the property the issl MAC teardown stands on.
@@ -26,7 +27,7 @@ from repro.crypto.hmac import (
     hmac_md5,
     hmac_sha1,
 )
-from repro.crypto.md5 import md5
+from repro.crypto.md5 import Md5, ReferenceMd5, md5
 from repro.crypto.modes import (
     PaddingError,
     cbc_decrypt,
@@ -38,7 +39,7 @@ from repro.crypto.modes import (
     pkcs7_unpad,
 )
 from repro.crypto.rijndael import Rijndael
-from repro.crypto.sha1 import sha1
+from repro.crypto.sha1 import ReferenceSha1, Sha1, sha1
 
 SEED = 20030310  # the paper's DATE 2003 session, fixed forever
 CASES = 40
@@ -57,21 +58,26 @@ def _rand_bytes(rng: random.Random, n: int) -> bytes:
 class TestAesDifferential:
     """Reference Rijndael vs the T-table port, same inputs."""
 
+    # Every key size runs CASES blocks, so both unrolled final rounds
+    # are checked after 10, 12 and 14 rounds.
+
     def test_encrypt_block_agrees(self):
         rng = _rng()
-        for _ in range(CASES):
-            key = _rand_bytes(rng, rng.choice(KEY_SIZES))
-            block = _rand_bytes(rng, 16)
-            assert (AesTTable(key).encrypt_block(block)
-                    == Rijndael(key).encrypt_block(block))
+        for key_size in KEY_SIZES:
+            for _ in range(CASES):
+                key = _rand_bytes(rng, key_size)
+                block = _rand_bytes(rng, 16)
+                assert (AesTTable(key).encrypt_block(block)
+                        == Rijndael(key).encrypt_block(block))
 
     def test_decrypt_block_agrees(self):
         rng = _rng()
-        for _ in range(CASES):
-            key = _rand_bytes(rng, rng.choice(KEY_SIZES))
-            block = _rand_bytes(rng, 16)
-            assert (AesTTable(key).decrypt_block(block)
-                    == Rijndael(key).decrypt_block(block))
+        for key_size in KEY_SIZES:
+            for _ in range(CASES):
+                key = _rand_bytes(rng, key_size)
+                block = _rand_bytes(rng, 16)
+                assert (AesTTable(key).decrypt_block(block)
+                        == Rijndael(key).decrypt_block(block))
 
     def test_round_trip_both_implementations(self):
         rng = _rng()
@@ -111,6 +117,24 @@ class TestModesProperties:
                 cipher, nonce, ctr_xor(cipher, nonce, data)
             ) == data
 
+    def test_cbc_matches_its_definition(self):
+        # C_i = E(P_i xor C_{i-1}), C_0 = IV, written out per byte, at
+        # every Rijndael block size.
+        rng = _rng()
+        for block_bits in (128, 192, 256):
+            bs = block_bits // 8
+            for _ in range(CASES // 4):
+                cipher = Rijndael(_rand_bytes(rng, 16), block_bits)
+                iv = _rand_bytes(rng, bs)
+                plaintext = _rand_bytes(rng, bs * rng.randrange(1, 5))
+                expected, prev = b"", iv
+                for i in range(0, len(plaintext), bs):
+                    prev = cipher.encrypt_block(bytes(
+                        a ^ b for a, b in zip(plaintext[i: i + bs], prev)))
+                    expected += prev
+                assert cbc_encrypt(cipher, iv, plaintext) == expected
+                assert cbc_decrypt(cipher, iv, expected) == plaintext
+
     def test_cbc_differs_from_ecb_on_repeated_blocks(self):
         rng = _rng()
         cipher = AesTTable(_rand_bytes(rng, 16))
@@ -122,25 +146,47 @@ class TestModesProperties:
         assert cbc[:16] != cbc[16:32]  # ...CBC must not
 
 
+def _hash_lengths(rng: random.Random) -> list[int]:
+    # Lengths straddling the 64-byte block boundary and beyond.
+    lengths = [0, 1, 55, 56, 63, 64, 65, 127, 128]
+    return lengths + [rng.randrange(0, 500) for _ in range(CASES)]
+
+
+def _streamed(hash_cls, data: bytes, rng: random.Random):
+    """Feed ``data`` in random pieces, copying the state midway; returns
+    the copy's digest after the rest of the data."""
+    cut = rng.randrange(len(data) + 1)
+    h = hash_cls(data[:cut // 2])
+    h.update(data[cut // 2: cut])
+    clone = h.copy()
+    clone.update(data[cut:])
+    h.update(b"divergent")  # must not leak into the copy
+    return clone.digest()
+
+
 class TestHashDifferential:
-    """The hand-ported digests against the platform's own."""
+    """The hand-ported digests -- and the host classes issl hashes with
+    -- against the platform's own."""
 
     def test_sha1_matches_hashlib(self):
         rng = _rng()
-        # Lengths straddling the 64-byte block boundary and beyond.
-        lengths = [0, 1, 55, 56, 63, 64, 65, 127, 128]
-        lengths += [rng.randrange(0, 500) for _ in range(CASES)]
-        for length in lengths:
+        for length in _hash_lengths(rng):
             data = _rand_bytes(rng, length)
-            assert sha1(data) == hashlib.sha1(data).digest()
+            expected = hashlib.sha1(data).digest()
+            for cls in (ReferenceSha1, Sha1):
+                assert cls(data).digest() == expected
+                assert _streamed(cls, data, rng) == expected
+            assert sha1(data) == expected
 
     def test_md5_matches_hashlib(self):
         rng = _rng()
-        lengths = [0, 1, 55, 56, 63, 64, 65, 127, 128]
-        lengths += [rng.randrange(0, 500) for _ in range(CASES)]
-        for length in lengths:
+        for length in _hash_lengths(rng):
             data = _rand_bytes(rng, length)
-            assert md5(data) == hashlib.md5(data).digest()
+            expected = hashlib.md5(data).digest()
+            for cls in (ReferenceMd5, Md5):
+                assert cls(data).digest() == expected
+                assert _streamed(cls, data, rng) == expected
+            assert md5(data) == expected
 
     def test_hmac_matches_stdlib(self):
         rng = _rng()
@@ -148,12 +194,12 @@ class TestHashDifferential:
             # Keys shorter, equal to, and longer than the block size.
             key = _rand_bytes(rng, rng.choice([0, 1, 16, 64, 65, 200]))
             data = _rand_bytes(rng, rng.randrange(0, 300))
-            assert hmac_sha1(key, data) == py_hmac.new(
-                key, data, hashlib.sha1
-            ).digest()
-            assert hmac_md5(key, data) == py_hmac.new(
-                key, data, hashlib.md5
-            ).digest()
+            expected_sha1 = py_hmac.new(key, data, hashlib.sha1).digest()
+            expected_md5 = py_hmac.new(key, data, hashlib.md5).digest()
+            assert Hmac(key, data, ReferenceSha1).digest() == expected_sha1
+            assert Hmac(key, data, ReferenceMd5).digest() == expected_md5
+            assert hmac_sha1(key, data) == expected_sha1
+            assert hmac_md5(key, data) == expected_md5
 
     def test_hmac_incremental_matches_oneshot(self):
         rng = _rng()
@@ -162,10 +208,11 @@ class TestHashDifferential:
             parts = [
                 _rand_bytes(rng, rng.randrange(0, 50)) for _ in range(5)
             ]
-            mac = Hmac(key)
-            for part in parts:
-                mac.update(part)
-            assert mac.digest() == hmac_sha1(key, b"".join(parts))
+            for hash_cls in (ReferenceSha1, Sha1):
+                mac = Hmac(key, hash_cls=hash_cls)
+                for part in parts:
+                    mac.update(part)
+                assert mac.digest() == hmac_sha1(key, b"".join(parts))
 
 
 class TestCorruptionMustFail:
