@@ -26,10 +26,11 @@ their "callable costatement" semantics.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from math import inf, nextafter
 from typing import Callable, Generator
 
 from repro.net.sim import Simulator
+from repro.obs.floatsteps import run_to
 from repro.obs.trace import CAT_COSTATE
 
 #: Default simulated cost of one pass through the big loop.  At 30 MHz a
@@ -51,13 +52,17 @@ class _IdleToken:
     pass must have performed no externally visible work -- no obs
     writes, no state mutation beyond re-evaluating the wait predicate.
 
-    The big loop uses the promise to replay all-idle passes in bulk
-    without resuming any generator (see ``_big_loop``); the replay
-    reproduces the pass accounting (pass counters, gap histogram,
-    telemetry cadence) op-for-op, so every deterministic metric is
-    byte-identical to the resume-every-pass execution.  A costatement
-    that cannot make the promise keeps yielding bare/numeric values and
-    simply forfeits the fast-forward -- slower, never wrong.
+    The big loop uses the promise to skip all-idle passes without
+    resuming any generator (see ``CostateScheduler._replay_idle``).  An
+    idle pass only adds the pass overhead to the clock, and repeated
+    float addition splits into runs of equal steps (one per binade, see
+    :mod:`repro.obs.floatsteps`), so a whole idle stretch is replayed in
+    closed form, a few runs long whatever its number of passes.  The
+    pass counters, the gap histogram, the telemetry cadence and the
+    clock itself come out byte-identical to the resume-every-pass
+    execution.  A costatement that cannot make the promise keeps
+    yielding bare/numeric values and simply forfeits the fast-forward
+    -- slower, never wrong.
     """
 
     __slots__ = ("deadline",)
@@ -373,17 +378,12 @@ class CostateScheduler:
         inc_passes = self._ctr_passes.inc
         overhead = self.pass_overhead_s
         # Cadence-gated telemetry: one cumulative-passes sample every
-        # 16 trips, hoisted to a bound method (None when disabled).
+        # 16 trips, hoisted to a bound method; the idle replay appends
+        # to the series in bulk (both None when disabled).
         telemetry = self.obs.telemetry
-        sample_passes = (
-            telemetry.series(f"costate.{self.name}.passes").record_at
-            if telemetry.enabled else None
-        )
-        histogram = self._gap_histogram
-        # Observability off hands out the shared _NullInstrument, which
-        # has no bucket state to replay into -- the bulk-idle replay
-        # then skips the histogram arithmetic entirely.
-        null_gap = not hasattr(histogram, "counts")
+        series = (telemetry.series(f"costate.{self.name}.passes")
+                  if telemetry.enabled else None)
+        sample_passes = series.record_at if series is not None else None
         while self.running:
             self.passes += 1
             inc_passes()
@@ -459,101 +459,76 @@ class CostateScheduler:
             if queue and wake < queue[0][0] and (
                     bound is None or wake <= bound):
                 sim.now = wake
-                if idle and idle == ran and busy == 0.0:
-                    # Bulk idle replay: every live costatement declared
-                    # this pass a pure event-wait, so every subsequent
-                    # pass is a no-op until the next queued event pops
-                    # or the earliest idle deadline arrives -- neither
-                    # of which can happen without this process yielding.
-                    # Replay those passes without resuming a single
-                    # generator, reproducing the per-pass accounting
-                    # op-for-op (pass counters, telemetry cadence, and
-                    # the gap histogram's sequential float accumulation
-                    # -- Histogram.observe is inlined below, memo path
-                    # included, because total += gap must stay one add
-                    # per observation to keep the snapshot's mean
-                    # byte-identical).
-                    live = [c for c in snapshot if not c.done]
-                    nlive = len(live)
-                    next_event = queue[0][0]
-                    replayed = 0
-                    do_yield = False
-                    T = sim.now
-                    # Every live costate shares one last_ran_at: the
-                    # qualifying pass had busy == 0 through every slice,
-                    # so each slice started at the same ``base``.  The
-                    # per-pass gap is therefore ONE value observed
-                    # ``nlive`` times, and the histogram/pass state can
-                    # live in locals for the whole replay -- the float
-                    # accumulation below repeats ``total += gap`` per
-                    # observation so the sequence of adds (and thus the
-                    # snapshot's mean) stays byte-identical.
-                    last = live[0].last_ran_at if live else 0.0
-                    if not null_gap:
-                        counts = histogram.counts
-                        bisect_bounds = histogram.bounds
-                        nbuckets = len(counts)
-                        h_count = histogram.count
-                        h_total = histogram.total
-                        h_overflow = histogram.overflow
-                        memo_value = histogram._memo_value
-                        memo_index = histogram._memo_index
-                    passes_local = self.passes
-                    idle_bound = (float("inf") if idle_deadline is None
-                                  else idle_deadline)
-                    run_bound = float("inf") if bound is None else bound
-                    while T < idle_bound:
-                        passes_local += 1
-                        replayed += 1
-                        if sample_passes is not None and not (
-                                passes_local & 15):
-                            sample_passes(T, float(passes_local))
-                        base = T + overhead
-                        if not null_gap and nlive:
-                            gap = base - last
-                            h_count += nlive
-                            for _ in range(nlive):
-                                h_total += gap
-                            if gap == memo_value:
-                                counts[memo_index] += nlive
-                            else:
-                                index = bisect_left(bisect_bounds, gap)
-                                if index < nbuckets:
-                                    counts[index] += nlive
-                                    memo_value = gap
-                                    memo_index = index
-                                else:
-                                    h_overflow += nlive
-                        last = base
-                        # The replayed pass ends exactly like a live
-                        # one: advance in place while no queued event
-                        # (frozen -- nothing pops during the replay)
-                        # or run bound precedes the wake-up...
-                        if base < next_event and base <= run_bound:
-                            T = base
-                            continue
-                        # ...otherwise this pass performs the real
-                        # yield, after the loop re-synchronizes the
-                        # clock and writes the locals back.
-                        do_yield = True
-                        break
-                    self.passes = passes_local
-                    sim.now = T
-                    if replayed:
-                        inc_passes(replayed)
-                        for costate in live:
-                            costate.last_ran_at = last
-                            costate.passes += replayed
-                        if not null_gap:
-                            histogram.count = h_count
-                            histogram.total = h_total
-                            histogram.overflow = h_overflow
-                            histogram._memo_value = memo_value
-                            histogram._memo_index = memo_index
-                    if do_yield:
+                # Every live costatement declared this pass a pure
+                # event-wait, so the passes up to the next queued event
+                # or the earliest idle deadline are no-ops: replay them
+                # without resuming a generator.
+                if idle and idle == ran and busy == 0.0 and (
+                        idle_deadline is None or wake < idle_deadline):
+                    if self._replay_idle(snapshot, idle_deadline, bound,
+                                         series):
                         yield overhead
                 continue
             yield overhead + busy
+
+    def _replay_idle(self, snapshot, idle_deadline, run_bound,
+                     series) -> bool:
+        """Account for the idle passes after an all-idle pass in closed
+        form; returns whether the last one must yield to the simulator.
+
+        An idle pass at ``T`` ends at ``fl(T + overhead)``, where every
+        live costatement's next slice starts, one gap after its last.
+        Pass by pass, the loop advances the clock in place until a pass
+        ends at or past the next queued event (frozen -- nothing pops
+        without a yield) or past the run bound, and that pass yields; or
+        until a pass would start at or past the idle deadline.
+        :func:`run_to` finds that first end in runs of equal steps (see
+        :mod:`repro.obs.floatsteps`), so the clock, the pass counters,
+        the gap histogram (one weighted observation per run) and the
+        every-16-passes telemetry come out byte-identical to resuming
+        every pass.
+        """
+        sim = self.sim
+        next_event = sim._queue[0][0]
+        stop = next_event
+        if idle_deadline is not None and idle_deadline < stop:
+            stop = idle_deadline
+        if run_bound is not None:
+            stop = min(stop, nextafter(run_bound, inf))
+        # The all-idle pass ran every live slice at sim.now (busy was 0),
+        # so the first replayed gap is one step, like all the others.
+        runs, end = run_to(sim.now, self.pass_overhead_s, stop)
+        live = [costate for costate in snapshot if not costate.done]
+        observe_gap = self._gap_histogram.observe
+        passes = self.passes
+        times, values = [], []
+        for start, gap, count in runs:
+            observe_gap(gap, count * len(live))
+            if series is not None:
+                # Pass ``first + i`` starts at ``start + i*gap``.
+                first = passes + 1
+                skip = -first % 16
+                times += [start + i * gap for i in range(skip, count, 16)]
+                values += map(float, range(first + skip, first + count, 16))
+            passes += count
+        replayed = passes - self.passes
+        self.passes = passes
+        self._ctr_passes.inc(replayed)
+        for costate in live:
+            costate.passes += replayed
+            costate.last_ran_at = end
+        if times:
+            series.extend_at(times, values)
+        must_yield = end >= next_event or (
+            run_bound is not None and end > run_bound)
+        if must_yield:
+            # The yielding pass starts one step before ``end``; its
+            # ``yield overhead`` lands back on ``end``.
+            start, gap, count = runs[-1]
+            sim.now = start if count == 1 else start + (count - 1) * gap
+        else:
+            sim.now = end
+        return must_yield
 
     @property
     def costate_names(self) -> list[str]:

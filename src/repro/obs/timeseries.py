@@ -72,6 +72,16 @@ class TimeSeries:
         times.append(t)
         self.values.append(value)
 
+    def extend_at(self, times: list[float], values: list[float]) -> None:
+        """Append float samples in bulk, as ``record_at`` would one by
+        one, for samples that never repeat their predecessor (say, a
+        cumulative count): only the first can equal the stored tail."""
+        if times and self.times and self.times[-1] == times[0] \
+                and self.values[-1] == values[0]:
+            times, values = times[1:], values[1:]
+        self.times += times
+        self.values += values
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -286,6 +296,9 @@ class _NullTimeSeries(TimeSeries):
         pass
 
     def record_at(self, t: float, value: float) -> None:
+        pass
+
+    def extend_at(self, times: list[float], values: list[float]) -> None:
         pass
 
 

@@ -37,6 +37,19 @@ class TestTimeSeries:
         series.record_at(2.0, 5.0)  # same value, new time: kept
         assert series.samples() == [(1.0, 5.0), (2.0, 5.0)]
 
+    def test_extend_at_matches_record_at_one_by_one(self):
+        times, values = [2.0, 2.0, 3.0], [16.0, 32.0, 48.0]
+        for tail in ([], [(1.0, 0.0)], [(2.0, 16.0)]):
+            bulk = TelemetryStore().series("s")
+            single = TelemetryStore().series("s")
+            for series in (bulk, single):
+                for t, value in tail:
+                    series.record_at(t, value)
+            bulk.extend_at(times, values)
+            for t, value in zip(times, values):
+                single.record_at(t, value)
+            assert bulk.samples() == single.samples()
+
     def test_rates_are_per_interval_derivatives(self):
         series = TelemetryStore().series("cpu.cycles")
         series.record_at(0.0, 0.0)
@@ -130,7 +143,9 @@ class TestTelemetryStore:
         assert not null.enabled
         null.record("s", 1.0)
         null.series("s").record_at(0.0, 1.0)
+        null.series("s").extend_at([0.0, 1.0], [1.0, 2.0])
         assert null.snapshot() == {}
+        assert len(null.series("s")) == 0
 
 
 class TestObsIntegration:
