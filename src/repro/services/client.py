@@ -14,6 +14,7 @@ from repro.issl.session import IsslContext, IsslError
 from repro.net.bsd import SocketError, socket
 from repro.net.host import Host
 from repro.obs.trace import CAT_APP, NEW_TRACE, context_of
+from repro.services.redirector import _read_plain_line
 
 
 @dataclass
@@ -131,16 +132,6 @@ def _read_secure_line(session):
     buffer = b""
     while b"\n" not in buffer:
         chunk = yield from session.read()
-        if not chunk:
-            return None
-        buffer += chunk
-    return buffer.split(b"\n", 1)[0]
-
-
-def _read_plain_line(sock):
-    buffer = b""
-    while b"\n" not in buffer:
-        chunk = yield from sock.recv(4096)
         if not chunk:
             return None
         buffer += chunk

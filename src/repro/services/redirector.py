@@ -23,6 +23,10 @@ Five variants:
   the E4 throughput experiment compares against.
 * :func:`backend_line_server` -- the plaintext backend behind all of
   them.
+
+Both RMC builds serve an established connection with one body,
+:func:`_connection_server`: a Figure-3 handler wraps it in listen and
+re-listen, a pool slot in its mailbox wait and slot release.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from collections import deque
 from typing import Callable
 
 from repro.dync.runtime.costate import (
+    DEFAULT_PASS_OVERHEAD_S,
     CostateScheduler,
     IDLE,
     IndexedCofunctionPool,
@@ -137,7 +142,8 @@ def _read_secure_line(session, sim=None, deadline=None):
             return None if not buffer else buffer
         buffer += chunk
     line, _rest = buffer.split(b"\n", 1)
-    # Records align with lines in our clients; keep any tail for safety.
+    # Clients send one line and wait for the reply, so nothing follows
+    # the newline.
     return line
 
 
@@ -304,20 +310,22 @@ def _sock_dead(sock) -> bool:
     )
 
 
-def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
-                 backend_ip, backend_port, listen_port,
-                 stats: dict | None, secure: bool, label: str = "handler",
-                 *, handshake_timeout_s: float | None = None,
-                 handshake_retries: int = 0,
-                 conn_deadline_s: float | None = None,
-                 backend_timeout_s: float | None = None,
-                 buffer_pool=None):
-    """One handler costatement: serve one connection at a time, forever.
+def _connection_server(stack: DyncTcpStack, context: IsslContext,
+                       backend_ip, backend_port,
+                       stats: dict | None, secure: bool, label: str, *,
+                       handshake_timeout_s: float | None = None,
+                       handshake_retries: int = 0,
+                       conn_deadline_s: float | None = None,
+                       backend_timeout_s: float | None = None,
+                       buffer_pool=None):
+    """Return ``serve(sock)``, the established path every RMC server runs.
 
-    Every failure path -- dead embryonic connection, refused session
-    slot, exhausted buffer pool, handshake timeout, backend outage,
-    stalled peer -- recovers back to ``tcp_listen``; the handler never
-    wedges and never lets an exception escape into the big loop.
+    ``serve`` is a generator: buffer acquire, ``issl_bind``, handshake,
+    backend connect, :func:`_rmc_serve`, teardown.  Every exit path --
+    exhausted buffer pool, refused session slot, failed handshake,
+    backend outage, stalled peer -- releases the buffer exactly once
+    and returns; no exception escapes into the big loop.  Instruments
+    are resolved here, once per server, never per connection.
     """
     sim = stack.host.sim
     obs = sim.obs
@@ -333,33 +341,16 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
     ts_active = obs.telemetry.series("redirector.active_connections")
     log = context.logger.log
     tid = f"svc:{label}"
-    sock = make_socket(stack)
-    while True:
-        # tcp_listen refuses while the previous connection is still
-        # tearing down; keep trying, one big-loop pass at a time.  The
-        # failure path is a pure state check and teardown only advances
-        # through simulator events, so the retry is a declared
-        # event-wait the big loop may bulk-replay past.
-        while not stack.tcp_listen(sock, listen_port):
-            yield IDLE
-        # Wait for establishment -- or for the embryonic connection to
-        # die under us (lost handshake, immediate RST).  Without the
-        # second arm this handler would wedge forever on a connection
-        # that will never establish.  Inlined waitfor: this poll runs
-        # every big-loop pass for every idle handler, and the generator
-        # plus lambda indirection dominated fault-campaign profiles.
-        # Both arms read connection state that only the tick driver's
-        # drain (itself a non-idle pass) or a timer event can change,
-        # so the poll yields IDLE.
-        while not (stack.sock_established(sock) or _sock_dead(sock)):
-            yield IDLE
-        if not stack.sock_established(sock):
-            log(f"redirector: {label}: connection died before established")
-            recorder.warn(CAT_SERVICE, tid, "connection died before established")
-            stack.sock_abort(sock)
-            ctr_recovered.inc()
-            yield
-            continue
+
+    def shed(span, buffer, error):
+        # The tail of every failure exit: buffer back, span closed with
+        # its cause, one recovery counted.
+        if buffer is not None:
+            buffer_pool.release(buffer)
+        tracer.end(span, error=error)
+        ctr_recovered.inc()
+
+    def serve(sock):
         span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
         buffer = None
         if buffer_pool is not None:
@@ -371,27 +362,21 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
                 log(f"redirector: {label}: out of xmem, refusing: {exc}")
                 recorder.warn(CAT_SERVICE, tid, "refused: out of xmem")
                 stack.sock_abort(sock)
-                tracer.end(span, error="memory")
-                ctr_recovered.inc()
-                yield
-                continue
+                shed(span, None, "memory")
+                return
         session = None
         if secure:
             try:
                 session = issl_bind(context, sock, stack=stack,
                                     role="server")
             except IsslSessionLimitError as exc:
-                # Figure 3's static ceiling: refuse, count, re-listen.
+                # Figure 3's static ceiling: refuse and count.
                 ctr_refused_sessions.inc()
                 log(f"redirector: {label}: refused: {exc}")
                 recorder.warn(CAT_SERVICE, tid, "refused: session limit")
                 stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="sessions")
-                ctr_recovered.inc()
-                yield
-                continue
+                shed(span, buffer, "sessions")
+                return
             try:
                 yield from session.handshake(
                     timeout=handshake_timeout_s,
@@ -404,12 +389,8 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
                     CAT_SERVICE, tid, f"handshake failed: {type(exc).__name__}"
                 )
                 stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="handshake")
-                ctr_recovered.inc()
-                yield
-                continue
+                shed(span, buffer, "handshake")
+                return
         backend = make_socket(stack)
         stack.tcp_open(backend, 0, backend_ip, backend_port)
         backend_deadline = (
@@ -437,15 +418,11 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
                 yield from session.close()
             else:
                 stack.sock_close(sock)
-            if buffer is not None:
-                buffer_pool.release(buffer)
-            tracer.end(span, error="backend-connect")
-            ctr_recovered.inc()
-            yield
-            continue
-        # One handler serves one connection; the shared gauge counts how
-        # many of the N handlers are mid-service, and the telemetry
-        # series records when that level changed on the simulated clock.
+            shed(span, buffer, "backend-connect")
+            return
+        # The shared gauge counts how many connections are mid-service,
+        # and the telemetry series records when that level changed on
+        # the simulated clock.
         gauge_active.set(gauge_active.value + 1)
         ts_active.record(gauge_active.value)
         requests = yield from _rmc_serve(
@@ -458,11 +435,59 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
         if secure:
             yield from session.close()
         # Close our TCP side regardless of who spoke last; sock_close is
-        # idempotent and tcp_listen above waits for the teardown.
+        # idempotent and a re-listen waits for the teardown.
         stack.sock_close(sock)
         if buffer is not None:
             buffer_pool.release(buffer)
         tracer.end(span, requests=requests)
+
+    return serve
+
+
+def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
+                 backend_ip, backend_port, listen_port,
+                 stats: dict | None, secure: bool, label: str = "handler",
+                 **server_kwargs):
+    """One handler costatement: serve one connection at a time, forever.
+
+    It owns the listen and the wait for establishment; the established
+    path is :func:`_connection_server`'s.  Every failure path recovers
+    back to ``tcp_listen``: the handler never wedges.
+    """
+    serve = _connection_server(stack, context, backend_ip, backend_port,
+                               stats, secure, label, **server_kwargs)
+    obs = stack.host.sim.obs
+    ctr_recovered = obs.metrics.counter("redirector.recovered")
+    log = context.logger.log
+    tid = f"svc:{label}"
+    sock = make_socket(stack)
+    while True:
+        # tcp_listen refuses while the previous connection is still
+        # tearing down; keep trying, one big-loop pass at a time.  The
+        # failure path is a pure state check and teardown only advances
+        # through simulator events, so the retry is a declared
+        # event-wait the big loop may bulk-replay past.
+        while not stack.tcp_listen(sock, listen_port):
+            yield IDLE
+        # Wait for establishment -- or for the embryonic connection to
+        # die under us (lost handshake, immediate RST).  Without the
+        # second arm this handler would wedge forever on a connection
+        # that will never establish.  Inlined waitfor: this poll runs
+        # every big-loop pass for every idle handler, and the generator
+        # plus lambda indirection dominated fault-campaign profiles.
+        # Both arms read connection state that only the tick driver's
+        # drain (itself a non-idle pass) or a timer event can change,
+        # so the poll yields IDLE.
+        while not (stack.sock_established(sock) or _sock_dead(sock)):
+            yield IDLE
+        if not stack.sock_established(sock):
+            log(f"redirector: {label}: connection died before established")
+            obs.recorder.warn(CAT_SERVICE, tid,
+                              "connection died before established")
+            stack.sock_abort(sock)
+            ctr_recovered.inc()
+        else:
+            yield from serve(sock)
         yield
 
 
@@ -579,7 +604,7 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
                          handlers: int = 3,
                          secure: bool = True,
                          stats: dict | None = None,
-                         pass_overhead_s: float | None = None,
+                         pass_overhead_s: float = DEFAULT_PASS_OVERHEAD_S,
                          obs=None,
                          handshake_timeout_s: float | None = None,
                          handshake_retries: int = 0,
@@ -604,11 +629,8 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     if isinstance(backend_ip, str):
         backend_ip = Ipv4Address.parse(backend_ip)
     stack.sock_init()
-    kwargs = {}
-    if pass_overhead_s is not None:
-        kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
-                                 obs=obs, **kwargs)
+                                 obs=obs, pass_overhead_s=pass_overhead_s)
     for index in range(handlers):
         scheduler.add(
             _rmc_handler(stack, context, backend_ip, backend_port,
@@ -646,48 +668,22 @@ class _SlotMailbox:
 def _pool_slot(stack: DyncTcpStack, context: IsslContext,
                backend_ip, backend_port,
                stats: dict | None, secure: bool, label: str,
-               mailbox: _SlotMailbox, slot, free_socks, *,
-               handshake_timeout_s: float | None = None,
-               handshake_retries: int = 0,
-               conn_deadline_s: float | None = None,
-               backend_timeout_s: float | None = None,
-               buffer_pool=None):
+               mailbox: _SlotMailbox, slot, free_socks, **server_kwargs):
     """One indexed-cofunction slot: serve handed-off connections forever.
 
     The admission step (not this body) listens, accepts, and either
     places an established connection into this slot's mailbox or
-    refuses it; from the hand-off on, the slot mirrors
-    :func:`_rmc_handler`'s established path exactly -- same counters,
-    same recorder events, same per-request progress deadline -- and
-    every exit path releases its pool buffer exactly once and returns
-    the socket to the admission free list.
+    refuses it.  From the hand-off on, the slot runs the same
+    :func:`_connection_server` body the static handlers do; once that
+    returns -- on any exit path, its buffer already released -- the
+    slot goes idle: socket back on the admission free list, mailbox
+    cleared, occupancy stepped down.
     """
-    sim = stack.host.sim
-    obs = sim.obs
-    tracer = obs.tracer
-    recorder = obs.recorder
-    metrics = obs.metrics
-    ctr_refused_sessions = metrics.counter("redirector.refused.sessions")
-    ctr_refused_memory = metrics.counter("redirector.refused.memory")
-    ctr_hs_errors = metrics.counter("redirector.errors.handshake")
-    ctr_backend_errors = metrics.counter("redirector.errors.backend")
-    ctr_recovered = metrics.counter("redirector.recovered")
-    gauge_active = metrics.gauge("redirector.active_connections")
-    ts_active = obs.telemetry.series("redirector.active_connections")
-    gauge_occupied = metrics.gauge("redirector.slots.occupied")
+    serve = _connection_server(stack, context, backend_ip, backend_port,
+                               stats, secure, label, **server_kwargs)
+    obs = stack.host.sim.obs
+    gauge_occupied = obs.metrics.gauge("redirector.slots.occupied")
     ts_occupied = obs.telemetry.series("redirector.slots.occupied")
-    log = context.logger.log
-    tid = f"svc:{label}"
-
-    def release_slot(sock):
-        # The one place a slot goes idle: socket back on the admission
-        # free list, mailbox cleared, occupancy stepped down.
-        free_socks.append(sock)
-        mailbox.sock = None
-        slot.busy = False
-        gauge_occupied.set(gauge_occupied.value - 1)
-        ts_occupied.record(gauge_occupied.value)
-
     while True:
         # The mailbox is only filled by the admission step, which runs
         # in this same pool driver and declares its own pass non-idle
@@ -696,108 +692,12 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
         while mailbox.sock is None:
             yield IDLE
         sock = mailbox.sock
-        span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
-        buffer = None
-        if buffer_pool is not None:
-            try:
-                buffer = buffer_pool.acquire()
-            except XallocError as exc:
-                # The xmem budget is a refusal, never an allocation past
-                # it: the slot sheds the connection and goes back idle.
-                ctr_refused_memory.inc()
-                log(f"redirector: {label}: out of xmem, refusing: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: out of xmem")
-                stack.sock_abort(sock)
-                tracer.end(span, error="memory")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-        session = None
-        if secure:
-            try:
-                session = issl_bind(context, sock, stack=stack,
-                                    role="server")
-            except IsslSessionLimitError as exc:
-                ctr_refused_sessions.inc()
-                log(f"redirector: {label}: refused: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: session limit")
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="sessions")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-            try:
-                yield from session.handshake(
-                    timeout=handshake_timeout_s,
-                    retries=handshake_retries,
-                )
-            except IsslError as exc:
-                ctr_hs_errors.inc()
-                log(f"redirector: {label}: handshake failed: {exc}")
-                recorder.error(
-                    CAT_SERVICE, tid, f"handshake failed: {type(exc).__name__}"
-                )
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="handshake")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-        backend = make_socket(stack)
-        stack.tcp_open(backend, 0, backend_ip, backend_port)
-        backend_deadline = (
-            None if backend_timeout_s is None
-            else sim.now + backend_timeout_s
-        )
-        # Event-wait, same contract as the static handler's.
-        backend_token = (
-            IDLE if backend_deadline is None
-            else idle_until(backend_deadline)
-        )
-        while not (
-            stack.sock_established(backend) or _sock_dead(backend)
-            or (backend_deadline is not None
-                and sim.now >= backend_deadline)
-        ):
-            yield backend_token
-        if not stack.sock_established(backend):
-            ctr_backend_errors.inc()
-            log(f"redirector: {label}: backend unreachable")
-            recorder.error(CAT_SERVICE, tid, "backend unreachable")
-            stack.sock_abort(backend)
-            if secure:
-                yield from session.close()
-            else:
-                stack.sock_close(sock)
-            if buffer is not None:
-                buffer_pool.release(buffer)
-            tracer.end(span, error="backend-connect")
-            ctr_recovered.inc()
-            release_slot(sock)
-            yield
-            continue
-        gauge_active.set(gauge_active.value + 1)
-        ts_active.record(gauge_active.value)
-        requests = yield from _rmc_serve(
-            stack, sock, backend, session, stats, tid,
-            deadline_s=conn_deadline_s, logger=context.logger,
-        )
-        gauge_active.set(gauge_active.value - 1)
-        ts_active.record(gauge_active.value)
-        stack.sock_close(backend)
-        if secure:
-            yield from session.close()
-        stack.sock_close(sock)
-        if buffer is not None:
-            buffer_pool.release(buffer)
-        tracer.end(span, requests=requests)
-        release_slot(sock)
+        yield from serve(sock)
+        free_socks.append(sock)
+        mailbox.sock = None
+        slot.busy = False
+        gauge_occupied.set(gauge_occupied.value - 1)
+        ts_occupied.record(gauge_occupied.value)
         yield
 
 
@@ -809,16 +709,13 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
                             admission: bool = True,
                             secure: bool = True,
                             stats: dict | None = None,
-                            pass_overhead_s: float | None = None,
                             obs=None,
                             handshake_timeout_s: float | None = None,
                             handshake_retries: int = 0,
                             conn_deadline_s: float | None = None,
                             backend_timeout_s: float | None = None,
                             buffer_pool=None,
-                            xmem=None,
-                            slot_bytes: int = SLOT_BUFFER_BYTES
-                            ) -> CostateScheduler:
+                            xmem=None) -> CostateScheduler:
     """The dynamic connection-slot pool: one pooled costatement, N slots.
 
     Where Figure 3 hardcodes one costatement per connection,
@@ -836,13 +733,18 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
       when all slots are busy.  Occupancy is published as the
       ``redirector.slots.occupied`` gauge and telemetry series.
     * ``admission=False``: every slot runs the classic
-      :func:`_rmc_handler` body (listen/serve/re-listen) inside the
-      pooled costatement -- step-for-step the static variant's
-      behaviour, which the differential regression tests pin.
+      :func:`_rmc_handler` (listen/serve/re-listen) inside the pooled
+      costatement -- step-for-step the static variant's behaviour,
+      which the differential regression tests pin.
+
+    Either way, a connection's established path is the one
+    :func:`_connection_server` body the static handlers run too; the
+    admission slot only adds the mailbox wait before it and the slot
+    release after it.
 
     Per-slot record buffers come from ``buffer_pool``; passing ``xmem``
     instead builds an :class:`~repro.dync.runtime.xalloc.XmemBufferPool`
-    of ``slots`` x ``slot_bytes`` over it, so a pool sized past the
+    of ``slots`` x :data:`SLOT_BUFFER_BYTES` over it, so a pool sized past the
     budget refuses at admission (``redirector.refused.memory``) rather
     than allocating past it.  The per-request progress deadline
     (``conn_deadline_s``) and the other hardening knobs carry over
@@ -854,13 +756,10 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
         backend_ip = Ipv4Address.parse(backend_ip)
     stack.sock_init()
     if buffer_pool is None and xmem is not None:
-        buffer_pool = XmemBufferPool(xmem, slots, slot_bytes,
+        buffer_pool = XmemBufferPool(xmem, slots, SLOT_BUFFER_BYTES,
                                      obs=stack.host.sim.obs)
-    kwargs = {}
-    if pass_overhead_s is not None:
-        kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
-                                 obs=obs, **kwargs)
+                                 obs=obs)
     handler_kwargs = dict(
         handshake_timeout_s=handshake_timeout_s,
         handshake_retries=handshake_retries,

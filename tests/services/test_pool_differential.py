@@ -82,6 +82,8 @@ _RELEASE_SCENARIOS = [
     "silent-peer",
     "backend-outage",
     "pool-burst-3",        # slot refusal (refused before acquire)
+    "slot-exhaustion",     # session-limit refusal (released after acquire)
+    "xalloc-exhaustion",   # memory refusal (the acquire itself fails)
 ]
 
 
@@ -119,3 +121,30 @@ class TestExactlyOnceRelease:
         pool.release(pointer)
         with pytest.raises(AssertionError):
             pool.release(pointer)
+
+
+#: The connection server's instruments, which an idle snapshot lists.
+_SERVER_COUNTERS = (
+    "redirector.refused.sessions",
+    "redirector.refused.memory",
+    "redirector.errors.handshake",
+    "redirector.errors.backend",
+    "redirector.recovered",
+)
+
+
+class TestInstrumentsBeforeFirstConnection:
+    @pytest.mark.parametrize("build", [
+        {},
+        {"pooled": True, "pool_admission": False},
+        {"pooled": True, "pool_admission": True},
+    ], ids=["static", "pool-listen", "pool-admission"])
+    def test_idle_snapshot_lists_server_instruments(self, build):
+        world = fscen.build_world(9911, **build)
+        world.sim.run(until=1.0)
+        snapshot = world.obs.metrics.snapshot()
+        for name in _SERVER_COUNTERS:
+            assert snapshot["counters"].get(name) == 0, name
+        assert snapshot["gauges"].get(
+            "redirector.active_connections"
+        ) == {"value": 0, "high_water": 0}
