@@ -1,8 +1,9 @@
 """Cryptographic substrate for issl (see DESIGN.md, S6).
 
 GF(2^8) arithmetic, Rijndael with variable key and block sizes, the
-T-table AES used as the optimized comparator, block modes, HMAC, a
-16-bit-limb bignum, RSA, and PRNGs are implemented here from scratch.
+optimized AES (T-table encrypt, byte-sliced whole-record decrypt), block
+modes, HMAC, a 16-bit-limb bignum, RSA, and PRNGs are implemented here
+from scratch.
 The hashes come twice: :class:`Sha1` and :class:`Md5`, which issl uses,
 wrap the interpreter's builtin ``_sha1``/``_md5`` modules, while the
 from-scratch ports :class:`ReferenceSha1` and :class:`ReferenceMd5` are

@@ -3,7 +3,12 @@
 issl secures a TCP byte stream, so its record layer needs CBC (with
 PKCS#7 padding) for bulk data; CTR and ECB are provided for key-stream
 and test purposes respectively.  All modes work with any object exposing
-``block_size``, ``encrypt_block`` and ``decrypt_block``.
+``block_size``, ``encrypt_block(block)`` and ``decrypt_blocks(data)``,
+which decrypts every block of ``data`` independently (ECB).  Decryption
+always goes through that multi-block call, because CBC decryption's
+blocks are independent and a cipher can run them all at once
+(:class:`repro.crypto.aes_ttable.AesTTable` does); encryption chains,
+so it runs block by block.
 """
 
 from __future__ import annotations
@@ -51,12 +56,8 @@ def ecb_encrypt(cipher, plaintext: bytes) -> bytes:
 
 
 def ecb_decrypt(cipher, ciphertext: bytes) -> bytes:
-    bs = cipher.block_size
-    _check_blocks(ciphertext, bs, "ciphertext")
-    return b"".join(
-        cipher.decrypt_block(ciphertext[i: i + bs])
-        for i in range(0, len(ciphertext), bs)
-    )
+    _check_blocks(ciphertext, cipher.block_size, "ciphertext")
+    return cipher.decrypt_blocks(ciphertext)
 
 
 def cbc_encrypt(cipher, iv: bytes, plaintext: bytes) -> bytes:
@@ -80,19 +81,17 @@ def cbc_encrypt(cipher, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def cbc_decrypt(cipher, iv: bytes, ciphertext: bytes) -> bytes:
+    """P_i = D(C_i) xor C_{i-1}, C_0 = IV: every block decrypted in one
+    ECB call, then the chaining undone by one wide XOR."""
     bs = cipher.block_size
     if len(iv) != bs:
         raise ValueError(f"IV must be {bs} bytes, got {len(iv)}")
     _check_blocks(ciphertext, bs, "ciphertext")
-    decrypt = cipher.decrypt_block
-    out = bytearray()
-    prev = int.from_bytes(iv, "big")
-    for i in range(0, len(ciphertext), bs):
-        block = ciphertext[i: i + bs]
-        out += (int.from_bytes(decrypt(block), "big") ^ prev).to_bytes(
-            bs, "big")
-        prev = int.from_bytes(block, "big")
-    return bytes(out)
+    if not ciphertext:
+        return b""
+    decrypted = int.from_bytes(cipher.decrypt_blocks(ciphertext), "big")
+    chain = int.from_bytes(iv + ciphertext[:-bs], "big")
+    return (decrypted ^ chain).to_bytes(len(ciphertext), "big")
 
 
 def ctr_keystream(cipher, nonce: bytes, nbytes: int) -> bytes:
@@ -111,4 +110,5 @@ def ctr_keystream(cipher, nonce: bytes, nbytes: int) -> bytes:
 def ctr_xor(cipher, nonce: bytes, data: bytes) -> bytes:
     """CTR mode: encryption and decryption are the same operation."""
     stream = ctr_keystream(cipher, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")) \
+        .to_bytes(len(data), "big")

@@ -182,3 +182,9 @@ class Rijndael:
         self._inv_sub_bytes(state)
         self._add_round_key(state, 0)
         return self._from_state(state)
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt every block of ``data`` (ECB), one block at a time."""
+        bs = self.block_size
+        return b"".join(self.decrypt_block(data[i: i + bs])
+                        for i in range(0, len(data), bs))

@@ -91,6 +91,59 @@ class TestAesDifferential:
                 ) == block
 
 
+class TestSlicedDecryptDifferential:
+    """The byte-sliced decrypt runs every block of a record at once, so
+    a lane mask, a rotation or a round key out of order can corrupt
+    bytes at block and column boundaries that a one-block test never
+    reaches.  Reference Rijndael decrypts each block on its own."""
+
+    BLOCK_COUNTS = tuple(range(1, 21)) + (64, 192, 257)
+
+    def _ciphertexts(self, rng: random.Random, blocks: int):
+        # One random record, plus one of alternating all-zero and
+        # all-one columns: a mask that let a shift carry bytes across a
+        # lane or block boundary changes it.
+        edges = bytes(0xFF if (i // 4) % 2 else 0x00
+                      for i in range(16 * blocks))
+        return _rand_bytes(rng, 16 * blocks), edges
+
+    def test_ecb_and_cbc_match_reference_per_block(self):
+        rng = _rng()
+        for key_size in KEY_SIZES:
+            for blocks in self.BLOCK_COUNTS:
+                key = _rand_bytes(rng, key_size)
+                iv = _rand_bytes(rng, 16)
+                sliced, reference = AesTTable(key), Rijndael(key)
+                for ciphertext in self._ciphertexts(rng, blocks):
+                    expected = b"".join(
+                        reference.decrypt_block(ciphertext[i: i + 16])
+                        for i in range(0, len(ciphertext), 16))
+                    assert ecb_decrypt(sliced, ciphertext) == expected
+                    chained = bytes(
+                        a ^ b for a, b in zip(
+                            expected, iv + ciphertext[:-16]))
+                    assert cbc_decrypt(sliced, iv, ciphertext) == chained
+
+    def test_sliced_decrypt_inverts_encrypt_every_block(self):
+        rng = _rng()
+        for key_size in KEY_SIZES:
+            cipher = AesTTable(_rand_bytes(rng, key_size))
+            iv = _rand_bytes(rng, 16)
+            plaintext = _rand_bytes(rng, 16 * 257)
+            assert cbc_decrypt(
+                cipher, iv, cbc_encrypt(cipher, iv, plaintext)
+            ) == plaintext
+
+    def test_empty_and_partial_input(self):
+        cipher = AesTTable(bytes(16))
+        assert cbc_decrypt(cipher, bytes(16), b"") == b""
+        assert ecb_decrypt(cipher, b"") == b""
+        with pytest.raises(ValueError):
+            cipher.decrypt_blocks(bytes(17))
+        with pytest.raises(ValueError):
+            cipher.decrypt_block(bytes(32))
+
+
 class TestModesProperties:
     def test_ecb_cbc_round_trip_random_lengths(self):
         rng = _rng()

@@ -89,6 +89,19 @@ class TestRecordLayer:
         with pytest.raises(RecordError):
             receiver.open(CT_APPLICATION_DATA, bytes(sealed))
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_bit_flip_in_any_block_of_a_long_record_fails(self, where):
+        # A 3 KiB record is decrypted in one pass over all its blocks; a
+        # flip in any of them must still surface as a typed error.
+        sender, receiver = _state_pair()
+        payload = random.Random(3072).randbytes(3072)
+        sealed = bytearray(sender.seal(CT_APPLICATION_DATA, payload))
+        blocks = len(sealed) // 16
+        block = {"first": 0, "middle": blocks // 2, "last": blocks - 1}
+        sealed[16 * block[where] + 7] ^= 0x10
+        with pytest.raises(RecordError):
+            receiver.open(CT_APPLICATION_DATA, bytes(sealed))
+
     def test_wrong_content_type_fails_mac(self):
         sender, receiver = _state_pair()
         sealed = sender.seal(CT_APPLICATION_DATA, b"data")

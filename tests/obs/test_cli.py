@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -54,15 +55,23 @@ class TestEntryPoint:
             ["traceEvents"] if e["ph"] == "X"
         ]
         assert events
+        # A span is nested when another span on its thread starts no
+        # later and ends no earlier.  Sorted by (start, longest first),
+        # that is an earlier span reaching past its end, or a twin.
+        threads: dict = {}
+        for event in events:
+            threads.setdefault(event["tid"], []).append(
+                (event["ts"], -event["dur"]))
         nested = 0
-        for inner in events:
-            for outer in events:
-                if (inner is not outer and inner["tid"] == outer["tid"]
-                        and outer["ts"] <= inner["ts"]
-                        and inner["ts"] + inner["dur"]
-                        <= outer["ts"] + outer["dur"]):
+        for spans in threads.values():
+            spans.sort()
+            twins = Counter(spans)
+            reach = float("-inf")
+            for ts, neg_dur in spans:
+                end = ts - neg_dur
+                if reach >= end or twins[ts, neg_dur] > 1:
                     nested += 1
-                    break
+                reach = max(reach, end)
         assert nested > 0
 
     def test_flame_stacks_are_non_empty_and_multiframe(self, tmp_path):
